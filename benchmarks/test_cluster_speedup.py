@@ -1,4 +1,4 @@
-"""Controller-cluster solve service: fingerprint cache + pool speedup.
+"""Controller-cluster solve service: fingerprint-cache speedup.
 
 The cluster re-solves every hosted meeting each 1–3 s (Fig. 12), and most
 rounds see an unchanged global picture — exactly the workload the
@@ -6,8 +6,7 @@ fingerprint cache targets.  This benchmark pushes a repeated-structure
 workload (M distinct meetings × T control rounds) through
 ``ControllerCluster.solve_conference`` twice — cache off, then cache on —
 verifies both runs return byte-identical solutions, and reports the
-speedup (budget: >= 1.3x).  A pool-backed cache-off run is timed too, to
-show what process-parallel cache misses cost/buy on this host.
+speedup (budget: >= 1.3x).
 
 Writes ``benchmarks/out/cluster_speedup.txt``.
 """
@@ -58,16 +57,10 @@ def _run(config: ClusterConfig):
 def test_cluster_cache_speedup():
     base_s, base_out, _ = _run(ClusterConfig(shards=4, cache_capacity=0))
     cached_s, cached_out, cached_stats = _run(ClusterConfig(shards=4))
-    pool_s, pool_out, _ = _run(
-        ClusterConfig(shards=4, cache_capacity=0, pool_workers=2)
-    )
 
-    # Caching and pooling must not change a single byte of any solution.
+    # Caching must not change a single byte of any solution.
     assert [pickle.dumps(s) for s in base_out] == [
         pickle.dumps(s) for s in cached_out
-    ]
-    assert [pickle.dumps(s) for s in base_out] == [
-        pickle.dumps(s) for s in pool_out
     ]
 
     cache = cached_stats["cache"]
@@ -86,12 +79,10 @@ def test_cluster_cache_speedup():
         f"cache on            : {cached_s * 1000:9.1f} ms  "
         f"({cached_s * 1000 / solves:6.2f} ms/solve, "
         f"hit rate {cache['hit_rate']:.0%})",
-        f"cache off + pool(2) : {pool_s * 1000:9.1f} ms  "
-        f"({pool_s * 1000 / solves:6.2f} ms/solve)",
         "",
         f"cache speedup       : {speedup:9.2f}x  (budget: >= {MIN_SPEEDUP}x)",
         "",
-        "all three runs returned byte-identical solutions for every",
+        "both runs returned byte-identical solutions for every",
         "(meeting, round); the cache's fingerprint key is exactly as",
         "coarse as the solver's own granularity blindness, so a hit is a",
         "legal replay, not an approximation.",

@@ -100,7 +100,7 @@ def _cluster_round(telemetry: bool) -> float:
     wires it; ``False`` is the shipping default (everything off).
     """
     cluster = ControllerCluster(
-        ClusterConfig(shards=2, cache_capacity=512, pool_workers=0)
+        ClusterConfig(shards=2, cache_capacity=512)
     )
     try:
         # The global picture changes every tick (publishers' bandwidth

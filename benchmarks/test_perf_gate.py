@@ -112,7 +112,7 @@ def _solver_mesh() -> Dict[str, object]:
 def _cluster_cache() -> Dict[str, object]:
     """Workload 2: fingerprint-cache hit rate (fully deterministic)."""
     cluster = ControllerCluster(
-        ClusterConfig(shards=2, cache_capacity=1024, pool_workers=0)
+        ClusterConfig(shards=2, cache_capacity=1024)
     )
     try:
         # Eight meetings sharing four distinct pictures: resubmissions of

@@ -9,12 +9,11 @@ Two runs of the same scenario and seed must produce the same
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Union
 
+from ..canonical import canonical_json, sha256_hex
 from ..core.solution import Solution
 
 #: Report schema tag; bump on any encoding change.
@@ -46,7 +45,7 @@ def solution_digest(solution: Solution) -> str:
                 f"A[{sub}<-{pub}]={stream.bitrate_kbps}@"
                 f"{stream.resolution.value}"
             )
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()[:16]
+    return sha256_hex("\n".join(parts))[:16]
 
 
 @dataclass
@@ -136,13 +135,11 @@ class RunReport:
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, fixed separators, no whitespace
         variance — the byte string the digest is computed over."""
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
+        return canonical_json(self.to_dict())
 
     def digest(self) -> str:
         """SHA-256 over the canonical JSON encoding."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        return sha256_hex(self.to_json())
 
     def summary(self) -> str:
         """Human-readable one-screen summary."""

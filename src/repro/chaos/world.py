@@ -90,7 +90,9 @@ class ChaosWorld:
         self.seed = seed
         self._ladder = make_ladder(levels_per_resolution=levels_per_resolution)
         self._meetings: Dict[str, MeetingState] = {}
-        sampler = FleetSampler(random.Random(f"chaos-world:{seed}"))
+        sampler = FleetSampler(
+            random.Random(f"chaos-world:{seed}"), mean_size=mean_size
+        )
         for k in range(meetings):
             meeting_id = f"chaos-{k}"
             # Per-meeting string-seeded RNG: the draw is independent of

@@ -199,7 +199,6 @@ def _make_cluster(args: argparse.Namespace) -> "object":
         config = ClusterConfig(
             shards=args.shards,
             cache_capacity=args.cache_capacity,
-            pool_workers=args.workers,
             max_solves_per_round=args.max_solves_per_round,
         )
     except ValueError as exc:
@@ -301,12 +300,6 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=4096,
         help="fingerprint-cache entries (0 disables caching)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="solve-pool processes (0 = in-process)",
     )
     parser.add_argument("--max-solves-per-round", type=int, default=64)
 

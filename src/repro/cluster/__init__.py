@@ -1,6 +1,6 @@
 """Sharded controller cluster: hosting many meetings behind one solve
 service (consistent-hash sharding, coalescing schedulers, fingerprint
-cache, worker pool, admission control).
+cache, in-process solver, admission control).
 """
 
 from .admission import AdmissionController, AdmissionStats
@@ -17,7 +17,6 @@ from .cluster import (
     SOURCE_SOLVE,
 )
 from .hashring import ConsistentHashRing, moved_keys, stable_hash
-from .pool import SolvePool
 from .scheduler import (
     SchedulerStats,
     SolveRequest,
@@ -40,7 +39,6 @@ __all__ = [
     "ServedSolution",
     "ShardWorker",
     "SolutionCache",
-    "SolvePool",
     "SolveRequest",
     "SolveScheduler",
     "SOURCE_CACHE",

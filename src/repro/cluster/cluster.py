@@ -12,8 +12,11 @@ module is the reproduction's control-plane host:
   Fig. 12 envelope (:mod:`.scheduler`);
 * **caching** — solves are keyed by the canonical problem fingerprint and
   served from a bounded LRU when the structure repeats (:mod:`.cache`);
-* **execution** — cache misses run on the solve pool (:mod:`.pool`),
-  optionally multiprocess;
+* **execution** — cache misses run on one in-process
+  :class:`~repro.core.solver.GsoSolver`, one at a time: a meeting solves
+  in milliseconds and re-solves every 1–3 s, so the fleet scales by
+  packing meetings onto shards (:mod:`repro.placement`), not by farming
+  one shard's solves out to worker processes;
 * **admission** — per-round solve budgets shed overload to the Sec. 7
   single-stream fallback instead of stalling the queue (:mod:`.admission`).
 
@@ -35,7 +38,7 @@ from ..core.constraints import Problem
 from ..core.engine import default_mckp_cache
 from ..core.mckp import kernel_stats
 from ..core.solution import Solution
-from ..core.solver import SolverConfig
+from ..core.solver import GsoSolver, SolverConfig
 from ..obs import events as obs_events
 from ..obs import names as obs_names
 from ..obs.registry import get_registry
@@ -49,7 +52,6 @@ from ..placement.policies import POLICIES, get_policy
 from .admission import AdmissionController
 from .cache import SolutionCache
 from .hashring import ConsistentHashRing
-from .pool import SolvePool
 from .scheduler import (
     SolveRequest,
     SolveScheduler,
@@ -79,7 +81,9 @@ class ClusterConfig:
     cache_capacity: int = 4096
     #: Full solves one shard may run per tick; the rest shed to fallback.
     max_solves_per_round: int = 64
-    #: Solve-pool processes for cache-miss batches (0 = in-process).
+    #: Must be 0: the process pool was removed and every solve runs
+    #: in-process.  Kept only so configs that still pass
+    #: ``pool_workers=0`` keep working.
     pool_workers: int = 0
     #: Placement policy homing new meetings: ``hash`` (the ring,
     #: baseline), ``best_fit`` (Tetris packing) or ``least_loaded``.
@@ -97,8 +101,11 @@ class ClusterConfig:
             raise ValueError("need at least one shard")
         if self.cache_capacity < 0:
             raise ValueError("cache_capacity must be >= 0")
-        if self.pool_workers < 0:
-            raise ValueError("pool_workers must be >= 0")
+        if self.pool_workers != 0:
+            raise ValueError(
+                "pool_workers must be 0: the process pool was removed; "
+                "every solve runs in-process"
+            )
         if self.max_solves_per_round < 1:
             raise ValueError("max_solves_per_round must be >= 1")
         if self.placement not in POLICIES:
@@ -190,9 +197,7 @@ class ControllerCluster:
             if self.config.cache_enabled
             else None
         )
-        self.pool = SolvePool(
-            solver_config=self.config.solver, workers=self.config.pool_workers
-        )
+        self.solver = GsoSolver(self.config.solver)
         self._meetings: Dict[str, MeetingRecord] = {}
         self.placement_policy = get_policy(self.config.placement)
         self.load_model = ShardLoadModel(names)
@@ -395,48 +400,59 @@ class ControllerCluster:
             correlation_id=correlation_id,
         )
 
-    def _solve_service(self, problem: Problem) -> Tuple[Solution, str]:
-        """Cache lookup, then solve; returns (solution, source).
+    def _decide(
+        self,
+        record: MeetingRecord,
+        problem: Problem,
+        lookup: bool = True,
+        solve: bool = True,
+    ) -> Tuple[Optional[Solution], str]:
+        """The solve service for one request; returns (solution, source).
 
-        Raises whatever the solver raises — callers map failures to the
-        fallback policy.
+        Runs the chaos interceptor, the fingerprint-cache lookup, the KMR
+        solve (cached right after it succeeds) and, when any of them
+        raises, the Sec. 7 single-stream fallback — so it never raises.
+        :meth:`tick` splits the sequence in two: ``solve=False`` stops at
+        a cache miss and returns ``(None, SOURCE_SOLVE)``; ``lookup=False``
+        then solves that miss without re-running the interceptor or
+        consulting the cache again.
         """
         start = time.perf_counter()
-        with span(obs_names.SPAN_CLUSTER_SOLVE):
-            key = self._cache_key(problem) if self.cache is not None else None
-            if key is not None:
-                cached = self.cache.get(key)
+        try:
+            with span(obs_names.SPAN_CLUSTER_SOLVE):
+                if lookup and self.solve_interceptor is not None:
+                    self.solve_interceptor(record.meeting_id, problem)
+                key = (
+                    self._cache_key(problem) if self.cache is not None else None
+                )
+                cached = (
+                    self.cache.get(key) if lookup and key is not None else None
+                )
                 if cached is not None:
-                    self._observe_solve_seconds(start)
-                    return cached, SOURCE_CACHE
-            solution = self.pool.solve(problem)
-            if key is not None:
-                self.cache.put(key, solution)
-        self._observe_solve_seconds(start)
-        return solution, SOURCE_SOLVE
-
-    @staticmethod
-    def _observe_solve_seconds(start: float) -> None:
+                    solution, source = cached, SOURCE_CACHE
+                elif not solve:
+                    return None, SOURCE_SOLVE
+                else:
+                    solution, source = self.solver.solve(problem), SOURCE_SOLVE
+                    if key is not None:
+                        self.cache.put(key, solution)
+        except Exception:
+            return self._fallback(record, problem), SOURCE_FALLBACK
         reg = get_registry()
         if reg.enabled:
             reg.histogram(obs_names.CLUSTER_SOLVE_SECONDS).observe(
                 time.perf_counter() - start
             )
+        return solution, source
 
     def solve_conference(self, meeting_id: str, problem: Problem) -> Solution:
         """Synchronous solve-service path (fleet workloads).
 
-        Routes through the meeting's shard for accounting, consults the
-        fingerprint cache, and never raises: solver failures degrade to
-        the single-stream fallback (Sec. 7).
+        :meth:`solve_request` under the ``sync`` trigger at t=0, with a
+        freshly minted correlation id opened by a ``SEMB_REPORT`` event;
+        returns only the configuration.
         """
-        self.register(meeting_id, problem)
-        record = self._meetings[meeting_id]
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter(
-                obs_names.CLUSTER_SOLVE_REQUESTS, trigger=TRIGGER_SYNC
-            ).inc()
+        shard = self.register(meeting_id, problem)
         log = obs_events.active_event_log()
         cid = ""
         if log is not None:
@@ -446,19 +462,11 @@ class ControllerCluster:
                 t=0.0,
                 meeting=meeting_id,
                 cid=cid,
-                shard=record.shard,
+                shard=shard,
                 trigger=TRIGGER_SYNC,
             )
-        try:
-            if self.solve_interceptor is not None:
-                self.solve_interceptor(meeting_id, problem)
-            solution, source = self._solve_service(problem)
-        except Exception:
-            solution = self._fallback(record, problem)
-            source = SOURCE_FALLBACK
-        return self._serve(
-            record, problem, solution, source, TRIGGER_SYNC, now_s=0.0,
-            correlation_id=cid,
+        return self.solve_request(
+            meeting_id, problem, 0.0, TRIGGER_SYNC, correlation_id=cid
         ).solution
 
     def solve_request(
@@ -489,13 +497,7 @@ class ControllerCluster:
             reg.counter(
                 obs_names.CLUSTER_SOLVE_REQUESTS, trigger=trigger
             ).inc()
-        try:
-            if self.solve_interceptor is not None:
-                self.solve_interceptor(meeting_id, problem)
-            solution, source = self._solve_service(problem)
-        except Exception:
-            solution = self._fallback(record, problem)
-            source = SOURCE_FALLBACK
+        solution, source = self._decide(record, problem)
         return self._serve(
             record,
             problem,
@@ -543,8 +545,8 @@ class ControllerCluster:
         """Run one scheduling round across every live shard.
 
         Per shard: pop due requests, admit up to the round budget, shed
-        the rest to fallback, serve admitted requests from the cache or
-        the solve pool (batched).  Returns everything served this round,
+        the rest to fallback, then serve the admitted ones (see
+        :meth:`_run_admitted`).  Returns everything served this round,
         in deterministic (shard, due-time, meeting) order.
         """
         served: List[ServedSolution] = []
@@ -564,14 +566,8 @@ class ControllerCluster:
                     record = self._meetings[request.meeting_id]
                     solution = self._fallback(record, request.problem)
                     served.append(
-                        self._serve(
-                            record,
-                            request.problem,
-                            solution,
-                            SOURCE_SHED,
-                            request.trigger,
-                            now_s,
-                            correlation_id=request.correlation_id,
+                        self._serve_request(
+                            request, solution, SOURCE_SHED, now_s
                         )
                     )
                 served.extend(self._run_admitted(admitted, now_s))
@@ -580,99 +576,46 @@ class ControllerCluster:
     def _run_admitted(
         self, admitted: List[SolveRequest], now_s: float
     ) -> List[ServedSolution]:
-        """Serve admitted requests: cache hits inline, misses batched."""
+        """Serve admitted requests: interceptor failures and cache hits
+        first, in admitted order; then the misses, solved one at a time."""
         served: List[ServedSolution] = []
         misses: List[SolveRequest] = []
         for request in admitted:
             record = self._meetings[request.meeting_id]
-            if self.solve_interceptor is not None:
-                try:
-                    self.solve_interceptor(request.meeting_id, request.problem)
-                except Exception:
-                    solution = self._fallback(record, request.problem)
-                    served.append(
-                        self._serve(
-                            record,
-                            request.problem,
-                            solution,
-                            SOURCE_FALLBACK,
-                            request.trigger,
-                            now_s,
-                            correlation_id=request.correlation_id,
-                        )
-                    )
-                    continue
-            if self.cache is not None:
-                start = time.perf_counter()
-                cached = self.cache.get(self._cache_key(request.problem))
-                if cached is not None:
-                    self._observe_solve_seconds(start)
-                    served.append(
-                        self._serve(
-                            record,
-                            request.problem,
-                            cached,
-                            SOURCE_CACHE,
-                            request.trigger,
-                            now_s,
-                            correlation_id=request.correlation_id,
-                        )
-                    )
-                    continue
-            misses.append(request)
-        if not misses:
-            return served
-        try:
-            start = time.perf_counter()
-            solutions = self.pool.solve_many([r.problem for r in misses])
-            batch_failed = False
-        except Exception:
-            solutions = []
-            batch_failed = True
-        if batch_failed:
-            # Retry individually so one poisoned problem degrades only its
-            # own meeting (Sec. 7), not the whole batch.
-            for request in misses:
-                record = self._meetings[request.meeting_id]
-                try:
-                    solution, source = self._solve_service(request.problem)
-                except Exception:
-                    solution = self._fallback(record, request.problem)
-                    source = SOURCE_FALLBACK
-                served.append(
-                    self._serve(
-                        record,
-                        request.problem,
-                        solution,
-                        source,
-                        request.trigger,
-                        now_s,
-                        correlation_id=request.correlation_id,
-                    )
-                )
-            return served
-        per_solve = (time.perf_counter() - start) / max(1, len(misses))
-        reg = get_registry()
-        for request, solution in zip(misses, solutions):
-            if reg.enabled:
-                reg.histogram(obs_names.CLUSTER_SOLVE_SECONDS).observe(
-                    per_solve
-                )
-            record = self._meetings[request.meeting_id]
-            if self.cache is not None:
-                self.cache.put(self._cache_key(request.problem), solution)
-            served.append(
-                self._serve(
-                    record,
-                    request.problem,
-                    solution,
-                    SOURCE_SOLVE,
-                    request.trigger,
-                    now_s,
-                    correlation_id=request.correlation_id,
-                )
+            solution, source = self._decide(
+                record, request.problem, solve=False
             )
+            if solution is None:
+                misses.append(request)
+            else:
+                served.append(
+                    self._serve_request(request, solution, source, now_s)
+                )
+        for request in misses:
+            record = self._meetings[request.meeting_id]
+            solution, source = self._decide(
+                record, request.problem, lookup=False
+            )
+            served.append(self._serve_request(request, solution, source, now_s))
         return served
+
+    def _serve_request(
+        self,
+        request: SolveRequest,
+        solution: Solution,
+        source: str,
+        now_s: float,
+    ) -> ServedSolution:
+        """:meth:`_serve` for a scheduler request."""
+        return self._serve(
+            self._meetings[request.meeting_id],
+            request.problem,
+            solution,
+            source,
+            request.trigger,
+            now_s,
+            correlation_id=request.correlation_id,
+        )
 
     # ------------------------------------------------------------------ #
     # Failure and rebalance
@@ -687,7 +630,7 @@ class ControllerCluster:
         degrade: bool = True,
     ) -> Optional[ServedSolution]:
         """Live-migrate one meeting to ``target`` (the shared primitive
-        behind shard death, ring growth, hot-shard drains and scale-in).
+        behind shard death, ring growth and hot-shard drains).
 
         With ``degrade=True`` (the Sec. 7 handover discipline) the
         meeting is immediately served the single-stream fallback built
@@ -904,7 +847,6 @@ class ControllerCluster:
             "meetings": len(self._meetings),
             "live_shards": self.live_shards,
             "shard_failovers": self.shard_failovers,
-            "pool_workers": self.pool.workers,
             "placement": {
                 "policy": self.placement_policy.name,
                 "budget": self.config.shard_cost_budget,
@@ -919,8 +861,8 @@ class ControllerCluster:
         }
 
     def close(self) -> None:
-        """Release pool resources (idempotent)."""
-        self.pool.close()
+        """No-op: the cluster holds no external resources.  Kept so
+        ``with`` blocks and existing ``close()`` calls keep working."""
 
     def __enter__(self) -> "ControllerCluster":
         return self

@@ -12,8 +12,7 @@ classic consistent-hash ring so that
 
 Hashes come from SHA-1, not Python's ``hash()`` — ``PYTHONHASHSEED``
 randomizes string hashing per process, and shard placement must agree
-across processes (the worker pool) and across runs (seeded fleet
-reproductions).
+across processes and across runs (seeded fleet reproductions).
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ class SolveRequest:
     #: How many event submissions were folded into this request.
     coalesced: int = 0
     #: Correlation id minted at ingress (when an event log is active);
-    #: travels with the request through admission, cache, solve pool and
+    #: travels with the request through admission, cache, solve and
     #: delivery so the whole causal chain shares one id.
     correlation_id: str = ""
 

@@ -36,10 +36,10 @@ class PolicyEntry:
     def __reduce__(self):
         # Frozensets serialize in hash-table iteration order, which
         # depends on insertion history — equal audiences built in
-        # different processes (e.g. a SolvePool worker vs the parent)
-        # can pickle to different bytes, breaking the byte-identity
-        # contract the test suite and caches rely on.  Canonicalize to
-        # a sorted tuple so equal entries always pickle identically.
+        # different orders (or round-tripped through pickle) can pickle
+        # to different bytes, breaking the byte-identity contract the
+        # test suite and caches rely on.  Canonicalize to a sorted
+        # tuple so equal entries always pickle identically.
         return (_rebuild_policy_entry, (self.stream, tuple(sorted(self.audience))))
 
     @property

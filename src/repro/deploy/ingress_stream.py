@@ -18,14 +18,13 @@ reported separately (never digested).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..canonical import canonical_json, sha256_hex
 from ..cluster.scheduler import SolveScheduler
 from ..obs.tracing import STAGE_SOLVE, LatencyProfile
 from ..ingress.aio import SimRuntime
@@ -93,7 +92,7 @@ class ModeledBackend(IngressBackend):
     * **measured** — seeded draws from a recorded
       ``repro.latency_profile/v1`` solve-stage distribution
       (``repro.obs.tracing.LatencyProfile``), closing the loop between
-      the real solve pool's observed latency and the modeled fleet.
+      the real cluster solve path's observed latency and the modeled fleet.
       Draws are keyed by ``(meeting, nth service)`` so they are
       independent of scheduling order — the byte-determinism contract
       survives executor interleaving.
@@ -275,10 +274,7 @@ def run_fleet_ingress(
 
 def canonical_digest(result: dict) -> str:
     """SHA-256 over the canonical (virtual-time) half of one result."""
-    payload = json.dumps(
-        result["canonical"], sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256_hex(canonical_json(result["canonical"]))
 
 
 def measured_service_times(

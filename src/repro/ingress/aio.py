@@ -208,7 +208,7 @@ class SimRuntime:
 class VirtualSemaphore:
     """A FIFO counting semaphore over :class:`SimFuture` waiters.
 
-    Models the solve pool's bounded concurrency in virtual time: at most
+    Models the solve executor's bounded concurrency in virtual time: at most
     ``slots`` holders at once, waiters resumed strictly in arrival order
     (deterministic, unlike a wall-clock semaphore).
     """

@@ -20,7 +20,7 @@ itself:
    the Sec. 7 ``single_stream_fallback`` via the backend's shed path.
 4. **Execute.**  Admitted decisions acquire an executor slot
    (:class:`~repro.ingress.aio.VirtualSemaphore` around the cluster's
-   solve pool), spend a deterministic virtual service time, and commit.
+   solve path), spend a deterministic virtual service time, and commit.
    In-flight solves overlap with ingestion — the dispatcher never
    blocks on a solve.
 5. **Complete.**  The commit emits a ``tmmbr_push`` completion event

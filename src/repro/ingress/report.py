@@ -9,10 +9,10 @@ digests *and* identical event-log digests.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Union
+
+from ..canonical import canonical_json, sha256_hex
 
 #: v2: the report embeds the assembled trace-plane digest and the
 #: per-stage critical-path latency attribution.
@@ -91,13 +91,11 @@ class IngressReport:
 
     def to_json(self) -> str:
         """Canonical JSON: the byte string the digest is computed over."""
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
+        return canonical_json(self.to_dict())
 
     def digest(self) -> str:
         """SHA-256 over the canonical JSON encoding."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        return sha256_hex(self.to_json())
 
     def summary(self) -> str:
         """Human-readable one-screen summary."""

@@ -80,7 +80,6 @@ def run_ingress(
             max_interval_s=3.0 * cfg.report_interval_s,
             cache_capacity=cfg.cache_capacity,
             max_solves_per_round=cfg.max_solves_per_round,
-            pool_workers=0,
             solver=SolverConfig(granularity_kbps=25),
         )
     )

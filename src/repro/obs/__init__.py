@@ -8,8 +8,7 @@ calls on instrumented paths):
   histograms with labels; snapshot, merge, Prometheus-text and JSON
   export.  Enable with :func:`enable` / :func:`enabled_registry`.
 * :mod:`repro.obs.spans` — ``with span("kmr.knapsack"):`` wall-clock
-  scopes with thread-local nesting, recorded into the registry; span
-  context tokens stitch solve-pool work into the parent trace.
+  scopes with thread-local nesting, recorded into the registry.
 * :mod:`repro.obs.trace` — structured per-iteration KMR solver traces
   (JSONL or in-memory), installed with :func:`collect_traces`.
 * :mod:`repro.obs.events` — correlated structured event log
@@ -79,13 +78,11 @@ from .slo import (
 )
 from .spans import (
     SpanRecord,
-    context_token,
     current_span,
     format_span_tree,
     last_root_span,
     reset_spans,
     span,
-    stitch_child,
 )
 from .timeseries import (
     Series,
@@ -117,13 +114,11 @@ __all__ = [
     "get_registry",
     "set_registry",
     "SpanRecord",
-    "context_token",
     "current_span",
     "format_span_tree",
     "last_root_span",
     "reset_spans",
     "span",
-    "stitch_child",
     "IterationRecord",
     "SolveTrace",
     "TraceCollector",

@@ -30,7 +30,6 @@ schema and every built-in event kind.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 from collections import deque
@@ -39,6 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Union
 
+from ..canonical import canonical_json, sha256_hex
 from . import names as obs_names
 from .registry import get_registry
 
@@ -262,10 +262,7 @@ class EventLog:
 
     def to_jsonl_lines(self) -> List[str]:
         rows = [self.header_dict()] + [e.to_dict() for e in self.events]
-        return [
-            json.dumps(row, sort_keys=True, separators=(",", ":"))
-            for row in rows
-        ]
+        return [canonical_json(row) for row in rows]
 
     def to_jsonl(self) -> str:
         return "\n".join(self.to_jsonl_lines()) + "\n"
@@ -279,7 +276,7 @@ class EventLog:
 
     def digest(self) -> str:
         """SHA-256 over the canonical JSONL encoding (determinism checks)."""
-        return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
+        return sha256_hex(self.to_jsonl())
 
     @classmethod
     def from_jsonl_lines(cls, lines: Iterable[str]) -> "EventLog":

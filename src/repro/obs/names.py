@@ -201,12 +201,9 @@ PLACEMENT_DECISIONS = "repro_placement_decisions_total"
 #: Gauge, label ``shard`` — deterministic assigned solve-cost per shard
 #: (the load model's packing view; see docs/PLACEMENT.md).
 PLACEMENT_SHARD_COST = "repro_placement_shard_cost"
-#: Counter, label ``reason`` in {"hot_shard", "scale_in", "shard_killed",
-#: "shard_added", "manual"} — meetings live-migrated between shards.
+#: Counter, label ``reason`` in {"hot_shard", "shard_killed", "shard_added",
+#: "manual"} — meetings live-migrated between shards.
 PLACEMENT_MIGRATIONS = "repro_placement_migrations_total"
-#: Counter, label ``action`` in {"add", "remove"} — autoscaler decisions
-#: executed (shards added on SLO burn / retired on sustained idle).
-AUTOSCALE_ACTIONS = "repro_autoscale_actions_total"
 
 #: Placement span names.
 SPAN_PLACEMENT_REBALANCE = "placement.rebalance"
@@ -283,7 +280,6 @@ SLO_EVALUATIONS = "repro_slo_evaluations_total"
 SLO_BREACHES = "repro_slo_breaches_total"
 
 #: Telemetry span names.
-SPAN_POOL_SOLVE = "pool.solve"
 SPAN_SLO_EVALUATE = "slo.evaluate"
 
 # --------------------------------------------------------------------- #
@@ -370,7 +366,6 @@ ALL_METRICS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     PLACEMENT_DECISIONS: ("counter", ("policy",)),
     PLACEMENT_SHARD_COST: ("gauge", ("shard",)),
     PLACEMENT_MIGRATIONS: ("counter", ("reason",)),
-    AUTOSCALE_ACTIONS: ("counter", ("action",)),
     CHAOS_FAULTS: ("counter", ("kind",)),
     CHAOS_CHECKS: ("counter", ("invariant",)),
     CHAOS_VIOLATIONS: ("counter", ("invariant",)),
@@ -412,7 +407,6 @@ ALL_SPANS: Tuple[str, ...] = (
     SPAN_CHAOS_TICK,
     SPAN_INGRESS_RUN,
     SPAN_INGRESS_DECIDE,
-    SPAN_POOL_SOLVE,
     SPAN_SLO_EVALUATE,
     SPAN_TRACE_ASSEMBLE,
 )

@@ -152,42 +152,6 @@ def reset_spans() -> None:
     _STATE.last_root = None
 
 
-def context_token() -> dict:
-    """A picklable token describing this thread's open span stack.
-
-    Spans are thread-local, so work shipped to another thread or process
-    (the multiprocessing solve pool) loses its ancestry.  Serialize a
-    token with the job, have the worker time itself, and stitch the
-    result back with :func:`stitch_child` — the worker's span then
-    appears in the parent trace as if it had run inline.
-    """
-    return {"path": [record.name for record in _STATE.stack]}
-
-
-def stitch_child(
-    name: str,
-    duration_s: float,
-    token: Optional[dict] = None,
-) -> SpanRecord:
-    """Attach an externally timed span to this thread's open trace.
-
-    Creates a completed :class:`SpanRecord` as a child of the innermost
-    open span (or as a detached record when no span is open), and
-    observes its duration into the :data:`SPAN_SECONDS` histogram so
-    percentile latency includes pool work.  ``token`` is the
-    :func:`context_token` that travelled with the job; it documents the
-    ancestry the child was stitched under but the *current* stack wins —
-    stitching happens where the results are joined.
-    """
-    record = SpanRecord(name=name, start_s=0.0, duration_s=duration_s)
-    stack = _STATE.stack
-    if stack:
-        record.depth = len(stack)
-        stack[-1].children.append(record)
-    get_registry().histogram(SPAN_SECONDS, span=name).observe(duration_s)
-    return record
-
-
 def format_span_tree(root: SpanRecord) -> str:
     """Render a completed span tree as an indented ASCII timing report::
 

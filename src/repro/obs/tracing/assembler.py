@@ -36,10 +36,9 @@ trees, counters and digests, regardless of wall clock.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ...canonical import canonical_json, sha256_hex
 from .. import names as obs_names
 from .. import spans
 from ..events import (
@@ -346,13 +345,11 @@ class TraceAssembler:
         }
 
     def to_json(self) -> str:
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
+        return canonical_json(self.to_dict())
 
     def digest(self) -> str:
         """SHA-256 over the canonical encoding (determinism checks)."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        return sha256_hex(self.to_json())
 
 
 def assemble_trees(

@@ -26,6 +26,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
+from ...canonical import canonical_json, sha256_hex
 from .tree import TraceTree
 
 #: Schema identifier stamped into every profile artifact.
@@ -168,12 +169,10 @@ class LatencyProfile:
         }
 
     def to_json(self) -> str:
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
+        return canonical_json(self.to_dict())
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        return sha256_hex(self.to_json())
 
     def write_json(self, path: Union[str, Path]) -> Path:
         path = Path(path)

@@ -1,5 +1,5 @@
-"""Fleet placement: load-aware meeting packing, live migration, and
-SLO-driven shard autoscaling (the *Tetris* layer above ``cluster/``).
+"""Fleet placement: load-aware meeting packing and live migration (the
+*Tetris* layer above ``cluster/``).
 
 See ``docs/PLACEMENT.md`` for the full design.
 """
@@ -24,7 +24,6 @@ from .policies import (
     get_policy,
 )
 from .migration import HotShardDetector, RebalanceResult
-from .autoscaler import AutoscaleAction, AutoscalerConfig, ShardAutoscaler
 
 __all__ = [
     "DEFAULT_MEETING_COST",
@@ -44,7 +43,4 @@ __all__ = [
     "get_policy",
     "HotShardDetector",
     "RebalanceResult",
-    "AutoscaleAction",
-    "AutoscalerConfig",
-    "ShardAutoscaler",
 ]

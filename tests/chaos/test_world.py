@@ -39,6 +39,15 @@ class TestWorldConstruction:
         with pytest.raises(ValueError):
             ChaosWorld(seed=1, meetings=0)
 
+    def test_mean_size_reaches_the_sampler(self):
+        # Regression: the world used to build its FleetSampler without
+        # mean_size, so every world drew sizes at the sampler's default.
+        def mean(size):
+            w = ChaosWorld(seed=3, meetings=400, mean_size=size)
+            return sum(w.meeting(m).size for m in w.meeting_ids) / 400
+
+        assert mean(6.0) > mean(3.0)
+
     def test_problems_are_full_mesh(self):
         w = ChaosWorld(seed=5, meetings=1)
         p = w.current_problem("chaos-0")

@@ -56,21 +56,12 @@ class TestSolveService:
             got = cluster.solve_conference("conf-1", problem)
             assert pickle.dumps(got) == pickle.dumps(DIRECT.solve(problem))
 
-    def test_pool_backed_cluster_matches_serial(self):
-        problems = distinct_problems(3)
-        with make_cluster(pool_workers=2, cache_capacity=0) as parallel:
-            with make_cluster(cache_capacity=0) as serial:
-                for i, problem in enumerate(problems):
-                    a = parallel.solve_conference(f"conf-{i}", problem)
-                    b = serial.solve_conference(f"conf-{i}", problem)
-                    assert pickle.dumps(a) == pickle.dumps(b)
-
     def test_solver_crash_degrades_to_fallback(self, problem, monkeypatch):
         with make_cluster() as cluster:
             def boom(*args, **kwargs):
                 raise RuntimeError("solver died")
 
-            monkeypatch.setattr(cluster.pool, "solve", boom)
+            monkeypatch.setattr(cluster.solver, "solve", boom)
             got = cluster.solve_conference("conf-1", problem)
             want = single_stream_fallback(problem)
             assert pickle.dumps(got) == pickle.dumps(want)
@@ -130,21 +121,59 @@ class TestTickLoop:
                 want = single_stream_fallback(record.last_problem)
                 assert pickle.dumps(s.solution) == pickle.dumps(want)
 
-    def test_batch_crash_degrades_only_poisoned_meetings(self, monkeypatch):
-        problems = distinct_problems(2)
-        with make_cluster(shards=1, cache_capacity=0) as cluster:
-            def no_batches(_problems):
-                raise RuntimeError("batch transport died")
+    def test_round_serves_hits_first_then_misses_without_relookup(self):
+        warm, fresh = distinct_problems(2)
+        with make_cluster(shards=1) as cluster:
+            cluster.solve_conference("warm-up", warm)
+            # Admitted order (oldest first): m0, m1, m2, m3.
+            cluster.submit("m0", fresh, now_s=0.0)
+            cluster.submit("m1", warm, now_s=0.1)
+            cluster.submit("m2", fresh, now_s=0.2)
+            cluster.submit("m3", warm, now_s=0.3)
+            lookups = cluster.cache.stats.lookups
+            served = cluster.tick(now_s=1.0)
+            # Cache hits come first in admitted order, then the misses,
+            # each solved on its own: m2 is not served m0's fresh solution
+            # from the cache even though it was put there first.
+            assert [(s.meeting_id, s.source) for s in served] == [
+                ("m1", SOURCE_CACHE),
+                ("m3", SOURCE_CACHE),
+                ("m0", SOURCE_SOLVE),
+                ("m2", SOURCE_SOLVE),
+            ]
+            assert cluster.cache.stats.lookups == lookups + 4
+            want = pickle.dumps(DIRECT.solve(fresh))
+            assert pickle.dumps(served[2].solution) == want
+            assert pickle.dumps(served[3].solution) == want
 
-            monkeypatch.setattr(cluster.pool, "solve_many", no_batches)
+    def test_batch_crash_degrades_only_poisoned_meetings(self, monkeypatch):
+        problems = distinct_problems(3)
+        poisoned = problems[1]
+        with make_cluster(shards=1, cache_capacity=0) as cluster:
+            solve = cluster.solver.solve
+
+            def crash_on_poisoned(problem, *args, **kwargs):
+                if problem is poisoned:
+                    raise RuntimeError("solver died")
+                return solve(problem, *args, **kwargs)
+
+            monkeypatch.setattr(cluster.solver, "solve", crash_on_poisoned)
             for i, problem in enumerate(problems):
                 cluster.submit(f"m{i}", problem, now_s=0.0)
             served = cluster.tick(now_s=0.0)
-            # The per-request retry path still solves every meeting.
-            assert sorted(s.source for s in served) == [
-                SOURCE_SOLVE,
-                SOURCE_SOLVE,
-            ]
+            by_meeting = {s.meeting_id: s for s in served}
+            assert sorted(by_meeting) == ["m0", "m1", "m2"]
+            # Only the poisoned meeting falls back; its round-mates solve.
+            assert by_meeting["m1"].source == SOURCE_FALLBACK
+            assert pickle.dumps(by_meeting["m1"].solution) == pickle.dumps(
+                single_stream_fallback(poisoned)
+            )
+            for mid in ("m0", "m2"):
+                assert by_meeting[mid].source == SOURCE_SOLVE
+                assert pickle.dumps(by_meeting[mid].solution) == pickle.dumps(
+                    DIRECT.solve(problems[int(mid[1])])
+                )
+            assert cluster.meeting("m1").fallbacks == 1
 
 
 class TestShardFailover:
@@ -271,6 +300,14 @@ class TestRebalance:
         with make_cluster() as cluster:
             with pytest.raises(ValueError):
                 cluster.add_shard("shard-0")
+
+
+class TestConfig:
+    def test_pool_workers_accepts_only_zero(self):
+        assert ClusterConfig(pool_workers=0).pool_workers == 0
+        for workers in (1, 2, -1):
+            with pytest.raises(ValueError, match="process pool was removed"):
+                ClusterConfig(pool_workers=workers)
 
 
 class TestStats:

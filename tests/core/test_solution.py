@@ -145,8 +145,8 @@ class TestValidation:
 class TestPolicyEntryPickleCanonical:
     """Equal policy entries must pickle byte-identically — audiences are
     frozensets, whose native serialization order depends on insertion
-    history (a SolvePool worker's round-tripped entry used to pickle
-    differently from the parent's freshly-built one)."""
+    history (a round-tripped entry used to pickle differently from a
+    freshly-built one)."""
 
     def test_insertion_order_does_not_leak_into_bytes(self):
         import pickle

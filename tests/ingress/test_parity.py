@@ -42,7 +42,6 @@ def _snapshot_trajectory(cfg: IngressRunConfig) -> dict:
             max_interval_s=3.0 * cfg.report_interval_s,
             cache_capacity=cfg.cache_capacity,
             max_solves_per_round=cfg.max_solves_per_round,
-            pool_workers=0,
             solver=SolverConfig(granularity_kbps=25),
         )
     )

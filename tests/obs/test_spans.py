@@ -1,5 +1,6 @@
 """Tests for the span/timer API: nesting, disabled mode, registry wiring."""
 
+import sys
 import threading
 
 import pytest
@@ -121,3 +122,47 @@ class TestFormatting:
         assert lines[0].startswith("kmr.solve")
         assert lines[1].startswith("  kmr.knapsack")
         assert all(line.rstrip().endswith("ms") for line in lines)
+
+
+class TestRegistryStress:
+    """Hammer the registry from concurrent threads recording spans: every
+    span observation must land, none may be lost to races."""
+
+    THREADS = 4
+    ROUNDS = 50
+
+    def test_concurrent_spans_record_every_observation(self):
+        errors = []
+        barrier = threading.Barrier(self.THREADS, timeout=30)
+
+        def worker():
+            try:
+                barrier.wait()
+                for _ in range(self.ROUNDS):
+                    with span(names.SPAN_CLUSTER_SOLVE):
+                        with span(names.SPAN_KMR_SOLVE):
+                            pass
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force frequent thread switches
+        try:
+            with enabled_registry() as reg:
+                threads = [
+                    threading.Thread(target=worker)
+                    for _ in range(self.THREADS)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                snap = reg.snapshot()["histograms"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        expected = self.THREADS * self.ROUNDS
+        for name in (names.SPAN_CLUSTER_SOLVE, names.SPAN_KMR_SOLVE):
+            key = f'{names.SPAN_SECONDS}{{span="{name}"}}'
+            assert snap[key]["count"] == expected
